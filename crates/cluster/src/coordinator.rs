@@ -258,7 +258,6 @@ pub struct Coordinator {
     cuts: Vec<u32>,
     workers: Vec<Worker>,
     log: UpdateLog,
-    algo: BatchSingleSource,
     /// The launch closure, retained so [`supervise`](Self::supervise) can
     /// respawn a dead worker with the same command the original used.
     launch: LaunchFn,
@@ -911,7 +910,6 @@ impl Coordinator {
             cuts,
             workers,
             log,
-            algo: BatchSingleSource::default(),
             launch,
             snapshot: None,
             dir: dir.to_path_buf(),
@@ -1249,13 +1247,14 @@ impl Coordinator {
                 ),
             }));
         }
+        let algo = BatchSingleSource::default();
         // Round 1 at the target's owner (validates the full batch).
         let owner = self.owner_of(target);
         let round1_req = Message::Round1Req {
             layer,
             target,
             epsilon,
-            eps1_fraction: self.algo.epsilon1_fraction,
+            eps1_fraction: algo.epsilon1_fraction,
             seed,
             candidates: candidates.to_vec(),
         };
@@ -1385,8 +1384,7 @@ impl Coordinator {
                 detail,
             }
         })?;
-        self.algo
-            .assemble_report(layer, target, &round1, estimates)
+        algo.assemble_report(layer, target, &round1, estimates)
             .map_err(ClusterError::Query)
     }
 

@@ -68,6 +68,11 @@ pub const VERSION: u16 = 2;
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
 /// Frame header size: kind `u8` + length `u32` + checksum `u32`.
 pub const HEADER_LEN: usize = 9;
+/// Most payload bytes [`Message::read_from`] reserves ahead of the bytes
+/// received. The length prefix is not covered by the checksum, so a
+/// corrupt one may claim up to [`MAX_FRAME_LEN`]; longer payloads are read
+/// in chunks of this size.
+const PAYLOAD_CHUNK: usize = 1 << 20;
 
 /// FNV-1a over the payload bytes — the frame integrity check. Not
 /// cryptographic (the peer is trusted); it exists to catch accidental
@@ -520,9 +525,10 @@ impl Message {
     ///
     /// # Errors
     ///
-    /// I/O errors from `r`, plus `InvalidData` for a checksum mismatch,
-    /// bad magic, an unsupported version, an unknown kind byte, an
-    /// over-long frame, or a payload that does not match its kind's
+    /// I/O errors from `r` (`UnexpectedEof` when the input ends before the
+    /// payload its header announces), plus `InvalidData` for a checksum
+    /// mismatch, bad magic, an unsupported version, an unknown kind byte,
+    /// an over-long frame, or a payload that does not match its kind's
     /// layout.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Message> {
         let mut header = [0u8; HEADER_LEN];
@@ -533,8 +539,13 @@ impl Message {
         if len > MAX_FRAME_LEN {
             return Err(bad_data(format!("frame length {len} exceeds cap")));
         }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
+        let len = len as usize;
+        let mut payload = Vec::new();
+        while payload.len() < len {
+            let filled = payload.len();
+            payload.resize(filled + (len - filled).min(PAYLOAD_CHUNK), 0);
+            r.read_exact(&mut payload[filled..])?;
+        }
         let found = frame_checksum(&payload);
         if found != sum {
             return Err(bad_data(format!(
@@ -602,6 +613,13 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// `n` clamped to how many `elem_bytes`-sized items the unread payload
+    /// can still hold: the capacity to reserve for a count read off the
+    /// wire, so a corrupt count cannot allocate past the frame's size.
+    fn capacity_for(&self, n: usize, elem_bytes: usize) -> usize {
+        n.min((self.buf.len() - self.at) / elem_bytes)
+    }
+
     fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.at..];
         self.at = self.buf.len();
@@ -633,7 +651,7 @@ fn check_handshake(c: &mut Cursor<'_>) -> io::Result<()> {
 
 fn take_candidates(c: &mut Cursor<'_>) -> io::Result<Vec<u32>> {
     let n = c.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let mut out = Vec::with_capacity(c.capacity_for(n, 4));
     for _ in 0..n {
         out.push(c.u32()?);
     }
@@ -648,7 +666,7 @@ fn take_round1(c: &mut Cursor<'_>) -> io::Result<WireRound1> {
     let base_seed = c.u64()?;
     let universe = c.u64()?;
     let n_words = c.u32()? as usize;
-    let mut words = Vec::with_capacity(n_words.min(1 << 24));
+    let mut words = Vec::with_capacity(c.capacity_for(n_words, 8));
     for _ in 0..n_words {
         words.push(c.u64()?);
     }
@@ -696,7 +714,7 @@ fn decode(kind_byte: u8, payload: &[u8]) -> io::Result<Message> {
             let n_upper = c.u64()?;
             let n_lower = c.u64()?;
             let n_edges = c.u64()? as usize;
-            let mut edges = Vec::with_capacity(n_edges.min(1 << 24));
+            let mut edges = Vec::with_capacity(c.capacity_for(n_edges, 8));
             for _ in 0..n_edges {
                 edges.push((c.u32()?, c.u32()?));
             }
@@ -726,7 +744,8 @@ fn decode(kind_byte: u8, payload: &[u8]) -> io::Result<Message> {
         kind::UPDATE => {
             let batch_seq = c.u64()?;
             let n = c.u32()? as usize;
-            let mut deltas = Vec::with_capacity(n.min(1 << 22));
+            // The shortest delta (`AddVertex`) is a tag byte + a layer byte.
+            let mut deltas = Vec::with_capacity(c.capacity_for(n, 2));
             for _ in 0..n {
                 deltas.push(take_delta(&mut c)?);
             }
@@ -754,7 +773,7 @@ fn decode(kind_byte: u8, payload: &[u8]) -> io::Result<Message> {
         },
         kind::ROUND2_RESP => {
             let n = c.u32()? as usize;
-            let mut estimates = Vec::with_capacity(n.min(1 << 20));
+            let mut estimates = Vec::with_capacity(c.capacity_for(n, 12));
             for _ in 0..n {
                 estimates.push((c.u32()?, c.u64()?));
             }

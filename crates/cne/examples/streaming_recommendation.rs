@@ -8,8 +8,9 @@
 //!    [`EstimationEngine::apply_updates`] — the CSR is spliced in place and
 //!    only the touched vertices' cached bitmaps are invalidated;
 //! 3. readers snapshot [`EstimationEngine::generation`] when they derive a
-//!    candidate set and screen through the generation-checked
-//!    [`EstimationEngine::estimate_batch_at`], so a candidate list computed
+//!    candidate set and guard each screen with
+//!    [`EstimationEngine::check_generation`] before
+//!    [`EstimationEngine::estimate_batch`], so a candidate list computed
 //!    against a superseded graph is rejected instead of silently mixed with
 //!    fresh state.
 //!
@@ -73,16 +74,12 @@ fn main() {
             .filter(|&u| u != target && engine.graph().degree(Layer::Upper, u) > 0)
             .take(8)
             .collect();
-        let report = engine
-            .estimate_batch_at(
-                generation,
-                Layer::Upper,
-                target,
-                &candidates,
-                EPSILON,
-                &mut query_rng,
-            )
+        engine
+            .check_generation(generation)
             .expect("snapshot is current");
+        let report = engine
+            .estimate_batch(Layer::Upper, target, &candidates, EPSILON, &mut query_rng)
+            .expect("valid batch");
         let top = report.ranked();
         println!(
             "\nRound {round} (generation {generation}, epoch {}): top matches for u{target}",
@@ -126,14 +123,10 @@ fn main() {
         );
 
         // A reader that kept the old snapshot is told, not misled.
-        let stale = engine.estimate_batch_at(
-            generation,
-            Layer::Upper,
-            target,
-            &candidates,
-            EPSILON,
-            &mut query_rng,
-        );
+        // The check runs before any draw, so a rejection costs no randomness.
+        let stale = engine.check_generation(generation).and_then(|()| {
+            engine.estimate_batch(Layer::Upper, target, &candidates, EPSILON, &mut query_rng)
+        });
         match stale {
             Err(CneError::StaleGeneration { observed, current }) => println!(
                 "  stale reader rejected: snapshot {observed} vs current {current} (re-derive and retry)"

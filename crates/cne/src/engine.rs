@@ -78,11 +78,11 @@
 //! exact threshold tables cached on the [`ScratchArena`]).
 //!
 //! **Draw-sequence compatibility:** the packed round consumes the RNG
-//! stream draw-for-draw identically to the legacy list-producing round and
-//! produces the same bit set, so estimates are byte-identical whichever
-//! representation ran — pinned across revisions by
+//! stream draw-for-draw identically to the list-producing
+//! [`ldp::noisy_graph::NoisyNeighbors::generate_with`] and produces the
+//! same bit set — pinned across revisions by
 //! `tests/pinned_fingerprints.rs`. Callers that genuinely need id lists
-//! (wire-format simulation, serialization) use the legacy round or
+//! (wire-format simulation, serialization) use
 //! [`ldp::noisy_graph::NoisyNeighborsPacked::materialize`].
 //!
 //! # Cache lifecycle
@@ -129,11 +129,9 @@
 //! 4. **Generations.** Effective batches bump
 //!    [`EstimationEngine::generation`]. Readers that derive state from
 //!    query results (candidate sets, rankings) snapshot the generation and
-//!    re-check it via [`EstimationEngine::check_generation`] or the
-//!    [`EstimationEngine::estimate_at`] /
-//!    [`EstimationEngine::estimate_batch_at`] guards, turning
-//!    read-your-stale-writes races into explicit
-//!    [`CneError::StaleGeneration`] retries.
+//!    re-check it with [`EstimationEngine::check_generation`] right before
+//!    the next query, turning read-your-stale-writes races into explicit
+//!    [`CneError::StaleGeneration`] errors.
 //!
 //! # Serving lifecycle
 //!
@@ -141,14 +139,11 @@
 //!
 //! * **Single-owner loop** — one thread owns the engine, alternating
 //!   [`EstimationEngine::apply_updates`] and query rounds. Readers guard
-//!   with the generation-checked entry points and, instead of hand-rolling
-//!   the retry, can use [`EstimationEngine::estimate_with_retry`] /
-//!   [`EstimationEngine::estimate_batch_with_retry`]: a
-//!   [`CneError::StaleGeneration`] rejection carries the current
-//!   generation, so the helper re-resolves the cursor and retries within a
-//!   bound — staleness is a *retry hint*, not a failure. The cost of this
-//!   model is the stop-the-world splice: every batch blocks queries for a
-//!   full CSR merge pass.
+//!   each query with `engine.check_generation(g)?` followed by the query;
+//!   the check runs before any RNG draw, so a rejected query consumes no
+//!   randomness, and the error carries the current generation to re-derive
+//!   from. The cost of this model is the stop-the-world splice: every batch
+//!   blocks queries for a full CSR merge pass.
 //! * **Serving tier** — [`crate::serving::ServingEngine`] removes that
 //!   stall with epoch-pinned double-buffering. Readers pin a snapshot
 //!   (`snapshot()` — a slot CAS, no locks, no allocation), query it like
@@ -252,7 +247,7 @@ use bigraph::delta::{AppliedBatch, UpdateBatch};
 use bigraph::snapshot::GraphSnapshot;
 use bigraph::{BipartiteGraph, Layer, VertexId};
 use ldp::budget::{BudgetAccountant, Composition, PrivacyBudget};
-use ldp::noisy_graph::{NoisyNeighbors, NoisyNeighborsPacked};
+use ldp::noisy_graph::NoisyNeighborsPacked;
 use ldp::randomized_response::PerturbScratch;
 use ldp::transcript::{Direction, Label, Transcript};
 use rand::rngs::StdRng;
@@ -512,7 +507,7 @@ impl AdjacencyStore {
     }
 
     /// Pre-builds the bitmaps of every *dense* vertex on `layer` — those the
-    /// degree-aware dispatch ([`ProtocolEnv::true_intersection_with`]) will
+    /// degree-aware dispatch ([`ProtocolEnv::true_intersection_with_scratch`]) will
     /// actually read. Sparse vertices are skipped: their queries take the
     /// probe path, so packing them would only burn memory
     /// (`⌈universe/64⌉ · 8` bytes each) that no query ever touches. On a
@@ -759,30 +754,12 @@ impl<'a> ProtocolEnv<'a> {
     ///
     /// Sparse `v` probes `other` per neighbor id; dense `v` uses a
     /// word-parallel popcount against the cached bitmap when a store is
-    /// available (packing on the fly otherwise). All strategies count the
-    /// same set, so the result — and everything derived from it — is
-    /// identical with and without a store. The density threshold matches
-    /// [`bigraph::bitset::intersection_size_degree_aware`] exactly.
-    #[must_use]
-    pub fn true_intersection_with(&self, layer: Layer, v: VertexId, other: &PackedSet) -> u64 {
-        let neighbors = self.graph.neighbors(layer, v);
-        if let Some(store) = self.store {
-            let words = other.universe().div_ceil(64);
-            if neighbors.len() > 2 * words {
-                // A byte-capped store may decline to cache; the fall-through
-                // packs on the fly and counts the identical set.
-                if let Some(packed) = store.try_packed(self.graph, layer, v) {
-                    return packed.intersection_size(other);
-                }
-            }
-        }
-        bigraph::bitset::intersection_size_degree_aware(neighbors, other)
-    }
-
-    /// [`ProtocolEnv::true_intersection_with`] with a reusable pack buffer:
-    /// when the dense fallback would pack `v`'s adjacency into a fresh
-    /// bitmap (no store, or the store declined), it packs into `scratch`
-    /// instead. Same strategy thresholds, same count — bit-identical.
+    /// available, and otherwise (no store, or a byte-capped store declined)
+    /// packs its adjacency into `scratch` instead of a fresh bitmap. All
+    /// strategies count the same set, so the result — and everything
+    /// derived from it — is identical with and without a store. The density
+    /// threshold matches [`bigraph::bitset::intersection_size_degree_aware`]
+    /// exactly.
     #[must_use]
     pub fn true_intersection_with_scratch(
         &self,
@@ -1073,14 +1050,8 @@ impl<'r> RoundContext<'r> {
         self.transcript.record(round, direction, label, bytes);
     }
 
-    /// Records the curator pushing a noisy edge list down to a client.
-    pub fn record_download(&mut self, round: u32, label: impl Into<Label>, list: &NoisyNeighbors) {
-        self.transcript
-            .record(round, Direction::Download, label, list.message_bytes());
-    }
-
-    /// [`RoundContext::record_download`] for a packed-native noisy row —
-    /// identical bytes (the wire format is the id list either way).
+    /// Records the curator pushing a noisy edge list down to a client. The
+    /// row is packed in memory but sized as the id list it travels as.
     pub fn record_download_packed(
         &mut self,
         round: u32,
@@ -1305,15 +1276,18 @@ impl<'g> EstimationEngine<'g> {
 
     /// The engine's generation: how many effective update batches have been
     /// applied since construction. Readers snapshot this before deriving
-    /// state from query results (candidate sets, rankings) and re-check it
-    /// with [`EstimationEngine::check_generation`] — or query through the
-    /// `*_at` variants — to detect that updates intervened.
+    /// state from query results (candidate sets, rankings) and call
+    /// [`EstimationEngine::check_generation`] before the next query to
+    /// detect that updates intervened.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Verifies that a reader's generation snapshot is still current.
+    /// Verifies that a reader's generation snapshot is still current — the
+    /// guard for a generation-checked query:
+    /// `engine.check_generation(g)?; engine.estimate_batch(…)`. It draws
+    /// nothing, so a rejected query leaves the caller's RNG untouched.
     ///
     /// # Errors
     ///
@@ -1460,147 +1434,14 @@ impl<'g> EstimationEngine<'g> {
         epsilon: f64,
         rng: &mut dyn RngCore,
     ) -> Result<BatchReport> {
-        self.estimate_batch_with(
-            &BatchSingleSource::default(),
+        BatchSingleSource::default().estimate_batch_in(
+            self.env(),
             layer,
             target,
             candidates,
             epsilon,
             rng,
         )
-    }
-
-    /// [`EstimationEngine::estimate_batch`] with a custom batch configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BatchSingleSource::estimate_batch`].
-    pub fn estimate_batch_with(
-        &self,
-        algo: &BatchSingleSource,
-        layer: Layer,
-        target: VertexId,
-        candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<BatchReport> {
-        algo.estimate_batch_in(self.env(), layer, target, candidates, epsilon, rng)
-    }
-
-    /// [`EstimationEngine::estimate`] guarded by a generation snapshot: the
-    /// query only runs if no update batch has landed since the reader
-    /// observed `generation` (typically when it picked the query pair).
-    ///
-    /// # Errors
-    ///
-    /// [`CneError::StaleGeneration`] when updates intervened; otherwise the
-    /// contract of [`EstimationEngine::estimate`].
-    pub fn estimate_at(
-        &self,
-        generation: u64,
-        query: &Query,
-        kind: AlgorithmKind,
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<EstimateReport> {
-        self.check_generation(generation)?;
-        self.estimate(query, kind, epsilon, rng)
-    }
-
-    /// [`EstimationEngine::estimate_batch`] guarded by a generation
-    /// snapshot (see [`EstimationEngine::estimate_at`]): the batch only
-    /// runs if the candidate list was derived from the current graph.
-    ///
-    /// # Errors
-    ///
-    /// [`CneError::StaleGeneration`] when updates intervened; otherwise the
-    /// contract of [`EstimationEngine::estimate_batch`].
-    pub fn estimate_batch_at(
-        &self,
-        generation: u64,
-        layer: Layer,
-        target: VertexId,
-        candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<BatchReport> {
-        self.check_generation(generation)?;
-        self.estimate_batch(layer, target, candidates, epsilon, rng)
-    }
-
-    /// [`EstimationEngine::estimate_at`] with bounded stale-generation
-    /// retry, for callers that track a generation themselves instead of
-    /// going through [`ServingEngine`](crate::serving::ServingEngine).
-    ///
-    /// On [`CneError::StaleGeneration`] the caller's `generation` cursor is
-    /// advanced to the current generation carried in the error and the
-    /// query re-issued, up to `max_retries` times. The generation check
-    /// runs *before* any protocol rounds, so a rejected attempt consumes no
-    /// randomness from `rng` — retries leave the draw stream of the
-    /// successful attempt byte-identical to a first-try success.
-    ///
-    /// On a single engine the first retry always succeeds (nothing mutates
-    /// an `&self` engine between the error and the retry); the bound
-    /// matters when the engine is re-resolved between attempts, e.g. a
-    /// serving tier swapping buffers under the caller.
-    ///
-    /// # Errors
-    ///
-    /// [`CneError::StaleGeneration`] if the cursor is still stale after
-    /// `max_retries` retries; otherwise the contract of
-    /// [`EstimationEngine::estimate`].
-    pub fn estimate_with_retry(
-        &self,
-        generation: &mut u64,
-        query: &Query,
-        kind: AlgorithmKind,
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-        max_retries: usize,
-    ) -> Result<EstimateReport> {
-        let mut retries = 0;
-        loop {
-            match self.estimate_at(*generation, query, kind, epsilon, rng) {
-                Err(CneError::StaleGeneration { current, .. }) if retries < max_retries => {
-                    *generation = current;
-                    retries += 1;
-                }
-                outcome => return outcome,
-            }
-        }
-    }
-
-    /// [`EstimationEngine::estimate_batch_at`] with bounded
-    /// stale-generation retry — the batch counterpart of
-    /// [`EstimationEngine::estimate_with_retry`], with the same
-    /// draw-stream guarantee (a rejected attempt consumes no randomness).
-    ///
-    /// # Errors
-    ///
-    /// [`CneError::StaleGeneration`] if still stale after `max_retries`
-    /// retries; otherwise the contract of
-    /// [`EstimationEngine::estimate_batch`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn estimate_batch_with_retry(
-        &self,
-        generation: &mut u64,
-        layer: Layer,
-        target: VertexId,
-        candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-        max_retries: usize,
-    ) -> Result<BatchReport> {
-        let mut retries = 0;
-        loop {
-            match self.estimate_batch_at(*generation, layer, target, candidates, epsilon, rng) {
-                Err(CneError::StaleGeneration { current, .. }) if retries < max_retries => {
-                    *generation = current;
-                    retries += 1;
-                }
-                outcome => return outcome,
-            }
-        }
     }
 
     /// Sharded batch estimation: every target in `targets` is estimated
@@ -1637,31 +1478,6 @@ impl<'g> EstimationEngine<'g> {
         epsilon: f64,
         seed: u64,
     ) -> Result<Vec<BatchReport>> {
-        self.estimate_many_targets_with(
-            &BatchSingleSource::default(),
-            layer,
-            targets,
-            candidates,
-            epsilon,
-            seed,
-        )
-    }
-
-    /// [`EstimationEngine::estimate_many_targets`] with a custom batch
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`EstimationEngine::estimate_many_targets`].
-    pub fn estimate_many_targets_with(
-        &self,
-        algo: &BatchSingleSource,
-        layer: Layer,
-        targets: &[VertexId],
-        candidates: &[VertexId],
-        epsilon: f64,
-        seed: u64,
-    ) -> Result<Vec<BatchReport>> {
         if targets.is_empty() {
             return Err(CneError::InvalidParameter {
                 name: "targets",
@@ -1685,7 +1501,14 @@ impl<'g> EstimationEngine<'g> {
         // each candidate's adjacency — loaded once — against all noisy
         // target rows, with per-chunk batched stream seeding and keyed
         // Laplace draws. Byte-identical to the per-target reference above.
-        algo.estimate_many_in(self.env(), layer, targets, candidates, epsilon, seed)
+        BatchSingleSource::default().estimate_many_in(
+            self.env(),
+            layer,
+            targets,
+            candidates,
+            epsilon,
+            seed,
+        )
     }
 }
 
@@ -1774,9 +1597,12 @@ mod tests {
         // A packed "other" set dense enough to exercise both branches.
         let other: Vec<u32> = (0..400).step_by(2).collect();
         let packed = PackedSet::from_sorted(&other, 400);
+        let mut scratch = ScratchArena::new();
         for v in 0..4u32 {
-            let a = env_cached.true_intersection_with(Layer::Upper, v, &packed);
-            let b = env_uncached.true_intersection_with(Layer::Upper, v, &packed);
+            let a =
+                env_cached.true_intersection_with_scratch(Layer::Upper, v, &packed, &mut scratch);
+            let b =
+                env_uncached.true_intersection_with_scratch(Layer::Upper, v, &packed, &mut scratch);
             assert_eq!(a, b);
         }
     }
@@ -1939,7 +1765,11 @@ mod tests {
         // Declined vertices still answer correctly through the env fallback.
         let env = ProtocolEnv::cached(&g, &store);
         let other = PackedSet::from_sorted(&(0..64).collect::<Vec<u32>>(), 64);
-        assert_eq!(env.true_intersection_with(Layer::Upper, 2, &other), 30);
+        let mut scratch = ScratchArena::new();
+        assert_eq!(
+            env.true_intersection_with_scratch(Layer::Upper, 2, &other, &mut scratch),
+            30
+        );
         assert!(
             store.packed(&g, Layer::Upper, 0).len() == 40,
             "packed() still works for admitted slots"
@@ -2093,17 +1923,13 @@ mod tests {
                 current: 1
             }
         ));
+        // A reader holding the current generation passes the guard.
+        engine.check_generation(gen0 + 1).unwrap();
         let q = Query::new(Layer::Upper, 0, 1);
         let mut rng = StdRng::seed_from_u64(3);
         assert!(engine
-            .estimate_at(gen0, &q, AlgorithmKind::OneR, 2.0, &mut rng)
-            .is_err());
-        assert!(engine
-            .estimate_at(gen0 + 1, &q, AlgorithmKind::OneR, 2.0, &mut rng)
+            .estimate(&q, AlgorithmKind::OneR, 2.0, &mut rng)
             .is_ok());
-        assert!(engine
-            .estimate_batch_at(gen0, Layer::Upper, 0, &[1, 2], 2.0, &mut rng)
-            .is_err());
     }
 
     #[test]

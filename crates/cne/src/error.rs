@@ -33,21 +33,6 @@ pub enum CneError {
     },
 }
 
-impl CneError {
-    /// For a [`CneError::StaleGeneration`], the engine generation that was
-    /// current when the read was rejected — the retry hint: a caller
-    /// re-issues the query with this cursor (see
-    /// [`EstimationEngine::estimate_with_retry`](crate::EstimationEngine::estimate_with_retry)).
-    /// `None` for every other error.
-    #[must_use]
-    pub fn stale_current(&self) -> Option<u64> {
-        match *self {
-            CneError::StaleGeneration { current, .. } => Some(current),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for CneError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -109,22 +94,5 @@ mod tests {
         };
         assert!(p_err.to_string().contains("epsilon"));
         assert!(std::error::Error::source(&p_err).is_none());
-    }
-
-    #[test]
-    fn stale_current_extracts_the_retry_hint() {
-        let stale = CneError::StaleGeneration {
-            observed: 3,
-            current: 7,
-        };
-        assert_eq!(stale.stale_current(), Some(7));
-        assert_eq!(
-            CneError::InvalidParameter {
-                name: "epsilon",
-                reason: "must be positive".into(),
-            }
-            .stale_current(),
-            None
-        );
     }
 }

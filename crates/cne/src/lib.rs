@@ -39,7 +39,8 @@
 //! ingests epoch-counted [`bigraph::UpdateBatch`]es of streaming edge
 //! updates, precisely invalidating only the touched vertices' cached
 //! bitmaps, and generation-checked readers
-//! ([`EstimationEngine::estimate_batch_at`]) detect snapshots superseded by
+//! (`engine.check_generation(g)?` before the query —
+//! [`EstimationEngine::check_generation`]) detect snapshots superseded by
 //! updates instead of silently serving them. Caches can be byte-capped with
 //! LRU eviction ([`EstimationEngine::with_cache_budget`]) for graphs too
 //! large to cache in full. See the [`engine`] module docs for the cache,

@@ -94,23 +94,31 @@
 //! The `snapshot-tool` binary (`cargo run --bin snapshot-tool`) writes,
 //! inspects, and verifies the same files from the command line.
 //!
-//! # Staleness is a retry hint
+//! # Generation-checked reads
 //!
-//! Generation-checked entry points on the serving tier
-//! ([`ServingEngine::estimate_at`] / [`estimate_batch_at`](ServingEngine::estimate_batch_at))
-//! treat [`CneError::StaleGeneration`](crate::CneError::StaleGeneration) as a hint, not an error: on a
-//! generation miss they transparently re-run on the freshly pinned
-//! snapshot and report the generation actually served. Callers that manage
-//! their own engine use
-//! [`EstimationEngine::estimate_with_retry`] for the same bounded-retry
-//! semantics.
+//! A pinned snapshot is immutable, so its
+//! [`generation`](EngineSnapshot::generation) names exactly the state every
+//! query on it reads. A reader that derived state from an earlier answer (a
+//! candidate list, a ranking) pins a snapshot and then either
+//!
+//! * **refreshes**: queries the snapshot and keeps `snap.generation()` as
+//!   its new cursor, or
+//! * **refuses**: calls [`EstimationEngine::check_generation`] on the
+//!   snapshot first, which fails with
+//!   [`CneError::StaleGeneration`](crate::CneError::StaleGeneration) before
+//!   any RNG draw, so a refused query leaves the reader's stream untouched.
 //!
 //! ```
 //! use bigraph::{BipartiteGraph, GraphDelta, Layer};
+//! use cne::estimate::AlgorithmKind;
+//! use cne::protocol::Query;
 //! use cne::serving::ServingEngine;
+//! use rand::rngs::StdRng;
+//! use rand::SeedableRng;
 //!
 //! let g = BipartiteGraph::from_edges(2, 8, [(0, 0), (0, 1), (1, 1), (1, 2)]).unwrap();
 //! let serving = ServingEngine::new(g);
+//! let derived_at = serving.snapshot().generation();
 //!
 //! // Producers append from any thread; the writer publishes asynchronously.
 //! serving.append(GraphDelta::AddEdge { upper: 0, lower: 2 });
@@ -119,6 +127,13 @@
 //! {
 //!     let snap = serving.snapshot();
 //!     assert!(snap.graph().has_edge(0, 2));
+//!     // Refuse: the state the reader derived from is gone.
+//!     assert!(snap.check_generation(derived_at).is_err());
+//!     // Refresh: answer from the pinned state and move the cursor.
+//!     let q = Query::new(Layer::Upper, 0, 1);
+//!     let mut rng = StdRng::seed_from_u64(7);
+//!     let report = snap.estimate(&q, AlgorithmKind::OneR, 2.0, &mut rng).unwrap();
+//!     assert!(report.estimate.is_finite());
 //!     assert_eq!(snap.generation(), 1);
 //! } // drop the snapshot: it borrows the serving tier
 //! let engine = serving.into_engine(); // tear down into the final state
@@ -753,68 +768,6 @@ impl ServingEngine {
     ) -> Result<Vec<BatchReport>> {
         self.snapshot()
             .estimate_many_targets(layer, targets, candidates, epsilon, seed)
-    }
-
-    /// Generation-checked estimate with transparent re-resolution: runs on
-    /// a freshly pinned snapshot, and if `generation` is stale (updates
-    /// published since the caller derived its state) the query is re-run
-    /// on the snapshot's current state instead of erroring. Returns the
-    /// report together with the generation actually served, so the caller
-    /// can refresh its cursor.
-    ///
-    /// A stale first attempt consumes no randomness from `rng` (the
-    /// generation check runs before any protocol round), so the served
-    /// report is byte-identical to a first-try success at that generation.
-    ///
-    /// # Errors
-    ///
-    /// The contract of [`EstimationEngine::estimate`];
-    /// [`CneError::StaleGeneration`](crate::CneError::StaleGeneration) is consumed internally.
-    pub fn estimate_at(
-        &self,
-        generation: u64,
-        query: &Query,
-        kind: AlgorithmKind,
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<(EstimateReport, u64)> {
-        let snap = self.snapshot();
-        let mut cursor = generation;
-        let report =
-            snap.engine()
-                .estimate_with_retry(&mut cursor, query, kind, epsilon, rng, 1)?;
-        Ok((report, cursor))
-    }
-
-    /// Batch counterpart of [`ServingEngine::estimate_at`]: generation
-    /// miss → transparent re-run on the pinned snapshot, returning the
-    /// generation served.
-    ///
-    /// # Errors
-    ///
-    /// The contract of [`EstimationEngine::estimate_batch`];
-    /// [`CneError::StaleGeneration`](crate::CneError::StaleGeneration) is consumed internally.
-    pub fn estimate_batch_at(
-        &self,
-        generation: u64,
-        layer: Layer,
-        target: VertexId,
-        candidates: &[VertexId],
-        epsilon: f64,
-        rng: &mut dyn RngCore,
-    ) -> Result<(BatchReport, u64)> {
-        let snap = self.snapshot();
-        let mut cursor = generation;
-        let report = snap.engine().estimate_batch_with_retry(
-            &mut cursor,
-            layer,
-            target,
-            candidates,
-            epsilon,
-            rng,
-            1,
-        )?;
-        Ok((report, cursor))
     }
 
     /// Blocks until every delta appended before this call is published

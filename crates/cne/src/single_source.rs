@@ -97,56 +97,18 @@ pub fn single_source_value(
     unbias_counts(s1, s2, flip_probability)
 }
 
-/// [`single_source_value`] against a pre-packed noisy list.
+/// [`single_source_value`] against a packed noisy row, routed through a
+/// protocol environment — the kernel every engine-routed single-source
+/// consumer runs.
 ///
-/// The batch engine intersects one noisy target list against *many*
-/// candidates' true neighborhoods; packing the noisy list once
-/// ([`ldp::noisy_graph::NoisyNeighbors::packed`]) turns every membership
-/// test into one bit probe, and [`bigraph::bitset::intersection_size_degree_aware`]
-/// upgrades to a word-parallel popcount when a candidate is dense too.
-/// Produces exactly the same value as [`single_source_value`].
-#[must_use]
-pub fn single_source_value_packed(
-    g: &BipartiteGraph,
-    layer: Layer,
-    source: VertexId,
-    other_packed: &PackedSet,
-    flip_probability: f64,
-) -> f64 {
-    single_source_value_cached(
-        ProtocolEnv::uncached(g),
-        layer,
-        source,
-        other_packed,
-        flip_probability,
-    )
-}
-
-/// [`single_source_value_packed`] routed through a protocol environment.
-///
-/// When the environment carries a warm [`crate::engine::AdjacencyStore`], a
-/// dense source's packed true adjacency is fetched from the cache instead of
-/// being rebuilt per call — the win the batch engine's warm path is built on.
-/// Every dispatch branch counts the same intersection, so the value is
+/// Packing the noisy row turns every membership test into one bit probe,
+/// and the degree-aware dispatch upgrades to a word-parallel popcount when
+/// the source is dense. A dense source's packed true adjacency comes from
+/// the environment's warm [`crate::engine::AdjacencyStore`] when it has
+/// one; otherwise it is packed into `scratch` instead of a fresh
+/// allocation, which keeps the batch candidate loop allocation-free. Every
+/// dispatch branch counts the same intersection, so the value is
 /// bit-identical to [`single_source_value`] regardless of caching.
-#[must_use]
-pub fn single_source_value_cached(
-    env: ProtocolEnv<'_>,
-    layer: Layer,
-    source: VertexId,
-    other_packed: &PackedSet,
-    flip_probability: f64,
-) -> f64 {
-    let s1 = env.true_intersection_with(layer, source, other_packed);
-    let s2 = env.graph.neighbors(layer, source).len() as u64 - s1;
-    unbias_counts(s1, s2, flip_probability)
-}
-
-/// [`single_source_value_cached`] with a reusable pack buffer: when the
-/// dense dispatch has no cached bitmap to fall back on, the source's
-/// adjacency is packed into `scratch` instead of a fresh allocation — the
-/// kernel of the allocation-free batch candidate loop. Bit-identical to
-/// every other variant.
 #[must_use]
 pub fn single_source_value_scratch(
     env: ProtocolEnv<'_>,
@@ -159,30 +121,6 @@ pub fn single_source_value_scratch(
     let s1 = env.true_intersection_with_scratch(layer, source, other_packed, scratch);
     let s2 = env.graph.neighbors(layer, source).len() as u64 - s1;
     unbias_counts(s1, s2, flip_probability)
-}
-
-/// [`single_source_value`] against a packed-native noisy row — the form
-/// every engine-routed single-source consumer uses since round 1 produces
-/// rows in packed form: membership probes are single bit tests and the
-/// dense-source path popcounts the cached adjacency against the row with
-/// no packing step at all. Thin shim over
-/// [`single_source_value_scratch`]; bit-identical to every other variant.
-pub(crate) fn single_source_value_packed_env(
-    env: ProtocolEnv<'_>,
-    layer: Layer,
-    source: VertexId,
-    other_noisy: &ldp::noisy_graph::NoisyNeighborsPacked,
-    flip_probability: f64,
-    scratch: &mut ScratchArena,
-) -> f64 {
-    single_source_value_scratch(
-        env,
-        layer,
-        source,
-        other_noisy.set(),
-        flip_probability,
-        scratch,
-    )
 }
 
 /// The un-noised single-source values of one `source` against several noisy
@@ -263,7 +201,7 @@ impl EngineEstimator for MultiRSS {
         // cache when the run has one and u is dense — bit-identical either
         // way) ...
         let raw =
-            single_source_value_packed_env(env, query.layer, query.u, &noisy_w, p, ctx.scratch());
+            single_source_value_scratch(env, query.layer, query.u, noisy_w.set(), p, ctx.scratch());
         // ... and releases the estimator through the Laplace mechanism.
         ctx.charge("round2:laplace(f_u)", eps2, Composition::Sequential)?;
         let laplace = single_source_laplace(p, eps2)?;
@@ -348,7 +286,14 @@ mod tests {
             );
             let p = noisy.flip_probability();
             let scalar = single_source_value(&g, q.layer, q.u, &noisy, p);
-            let packed = single_source_value_packed(&g, q.layer, q.u, &noisy.packed(), p);
+            let packed = single_source_value_scratch(
+                ProtocolEnv::uncached(&g),
+                q.layer,
+                q.u,
+                &noisy.packed(),
+                p,
+                &mut ScratchArena::new(),
+            );
             assert_eq!(
                 scalar.to_bits(),
                 packed.to_bits(),
@@ -381,7 +326,14 @@ mod tests {
             );
             let p = noisy.flip_probability();
             let scalar = single_source_value(&g, q.layer, q.u, &noisy, p);
-            let cached = single_source_value_cached(env, q.layer, q.u, &noisy.packed(), p);
+            let cached = single_source_value_scratch(
+                env,
+                q.layer,
+                q.u,
+                &noisy.packed(),
+                p,
+                &mut ScratchArena::new(),
+            );
             assert_eq!(
                 scalar.to_bits(),
                 cached.to_bits(),

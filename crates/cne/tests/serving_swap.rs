@@ -13,9 +13,9 @@
 //! 2. **Pin stability** — a held snapshot keeps serving its epoch's state,
 //!    bit-for-bit, while the writer publishes newer epochs underneath it,
 //!    and fresh snapshots see the new state immediately.
-//! 3. **Retry-hint semantics** — generation misses on the serving tier are
-//!    transparently re-resolved, and the bounded-retry engine helper
-//!    consumes no randomness on a rejected attempt.
+//! 3. **Generation checks** — a reader with a stale cursor refreshes it
+//!    from a pinned snapshot and is served exactly what a fresh reader is,
+//!    and `check_generation` rejects a stale cursor before any RNG draw.
 //! 4. **Convergence** — after the log drains, the final engine state
 //!    equals a reference replay of the same delta stream, regardless of
 //!    how the writer chunked it into batches.
@@ -273,7 +273,7 @@ fn concurrent_readers_always_see_consistent_snapshots() {
 }
 
 #[test]
-fn stale_generation_is_a_transparent_retry_on_the_serving_tier() {
+fn stale_cursor_refreshes_from_a_pinned_snapshot() {
     let serving = ServingEngine::with_config(base_graph(), test_config());
     let candidates: Vec<u32> = (1..6).collect();
     let stale_generation = serving.snapshot().generation();
@@ -285,44 +285,55 @@ fn stale_generation_is_a_transparent_retry_on_the_serving_tier() {
     });
     serving.flush();
 
-    // The serving tier re-resolves instead of erroring, reports the
-    // generation actually served, and the result is byte-identical to a
-    // caller that had a fresh cursor all along.
+    // The reader pins the current state, sees its cursor is stale, queries
+    // the snapshot anyway and takes the snapshot's generation as its new
+    // cursor. The result is byte-identical to a caller that had a fresh
+    // cursor all along and passed the check.
     let mut rng = StdRng::seed_from_u64(9);
-    let (report, served) = serving
-        .estimate_batch_at(
-            stale_generation,
-            Layer::Upper,
-            0,
-            &candidates,
-            2.0,
-            &mut rng,
-        )
-        .unwrap();
+    let (report, served) = {
+        let snap = serving.snapshot();
+        assert!(snap.check_generation(stale_generation).is_err());
+        let report = snap
+            .estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng)
+            .unwrap();
+        (report, snap.generation())
+    };
     assert_eq!(served, 1);
     let mut rng = StdRng::seed_from_u64(9);
-    let (fresh_report, fresh_served) = serving
-        .estimate_batch_at(served, Layer::Upper, 0, &candidates, 2.0, &mut rng)
-        .unwrap();
+    let (fresh_report, fresh_served) = {
+        let snap = serving.snapshot();
+        snap.check_generation(served).unwrap();
+        let report = snap
+            .estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng)
+            .unwrap();
+        (report, snap.generation())
+    };
     assert_eq!(fresh_served, served);
     assert_eq!(bits(&report), bits(&fresh_report));
 
     // Point-query flavour.
     let q = Query::new(Layer::Upper, 1, 2);
     let mut rng = StdRng::seed_from_u64(11);
-    let (point, point_served) = serving
-        .estimate_at(stale_generation, &q, AlgorithmKind::OneR, 2.0, &mut rng)
-        .unwrap();
+    let (point, point_served) = {
+        let snap = serving.snapshot();
+        let report = snap
+            .estimate(&q, AlgorithmKind::OneR, 2.0, &mut rng)
+            .unwrap();
+        (report, snap.generation())
+    };
     let mut rng = StdRng::seed_from_u64(11);
-    let (point_fresh, _) = serving
-        .estimate_at(point_served, &q, AlgorithmKind::OneR, 2.0, &mut rng)
-        .unwrap();
+    let point_fresh = {
+        let snap = serving.snapshot();
+        snap.check_generation(point_served).unwrap();
+        snap.estimate(&q, AlgorithmKind::OneR, 2.0, &mut rng)
+            .unwrap()
+    };
     assert_eq!(point.estimate.to_bits(), point_fresh.estimate.to_bits());
     assert_eq!(point.transcript, point_fresh.transcript);
 }
 
 #[test]
-fn bounded_retry_helper_consumes_no_randomness_on_rejection() {
+fn generation_check_consumes_no_randomness_on_rejection() {
     let mut engine = EstimationEngine::from_graph(base_graph());
     let stale = engine.generation();
     let mut batch = UpdateBatch::new();
@@ -331,38 +342,39 @@ fn bounded_retry_helper_consumes_no_randomness_on_rejection() {
 
     let candidates: Vec<u32> = (1..6).collect();
 
-    // max_retries = 0 keeps the strict stale-rejection semantics.
-    let mut cursor = stale;
+    // A stale cursor is rejected with the current generation...
     let mut rng = StdRng::seed_from_u64(3);
     let err = engine
-        .estimate_batch_with_retry(&mut cursor, Layer::Upper, 0, &candidates, 2.0, &mut rng, 0)
+        .check_generation(stale)
+        .and_then(|()| engine.estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng))
         .unwrap_err();
-    assert_eq!(err.stale_current(), Some(1));
-    assert!(matches!(err, CneError::StaleGeneration { observed: 0, .. }));
+    let CneError::StaleGeneration { observed, current } = err else {
+        panic!("expected a stale-generation rejection, got {err}");
+    };
+    assert_eq!((observed, current), (0, 1));
 
-    // One retry succeeds, advances the cursor, and — because the rejected
-    // attempt consumed no randomness — the report is byte-identical to a
-    // first-try success with the same seed.
-    let mut cursor = stale;
-    let mut rng = StdRng::seed_from_u64(3);
+    // ...before any draw: re-issuing at the current generation on the same
+    // stream is byte-identical to a first-try success with the same seed.
+    engine.check_generation(current).unwrap();
     let retried = engine
-        .estimate_batch_with_retry(&mut cursor, Layer::Upper, 0, &candidates, 2.0, &mut rng, 1)
+        .estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng)
         .unwrap();
-    assert_eq!(cursor, 1);
     let mut rng = StdRng::seed_from_u64(3);
     let direct = engine
         .estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng)
         .unwrap();
     assert_eq!(bits(&retried), bits(&direct));
 
-    // Point-query flavour of the helper.
+    // Point-query flavour.
     let q = Query::new(Layer::Upper, 1, 2);
-    let mut cursor = stale;
     let mut rng = StdRng::seed_from_u64(4);
+    assert!(engine
+        .check_generation(stale)
+        .and_then(|()| engine.estimate(&q, AlgorithmKind::MultiRSS, 2.0, &mut rng))
+        .is_err());
     let report = engine
-        .estimate_with_retry(&mut cursor, &q, AlgorithmKind::MultiRSS, 2.0, &mut rng, 1)
+        .estimate(&q, AlgorithmKind::MultiRSS, 2.0, &mut rng)
         .unwrap();
-    assert_eq!(cursor, 1);
     let mut rng = StdRng::seed_from_u64(4);
     let direct = engine
         .estimate(&q, AlgorithmKind::MultiRSS, 2.0, &mut rng)

@@ -193,8 +193,9 @@ fn stale_readers_are_rejected_not_served() {
     let candidates: Vec<u32> = (1..6).collect();
     // Reader and engine agree: the checked read succeeds.
     let mut rng = StdRng::seed_from_u64(5);
+    engine.check_generation(snapshot).unwrap();
     engine
-        .estimate_batch_at(snapshot, Layer::Upper, 0, &candidates, 2.0, &mut rng)
+        .estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng)
         .unwrap();
     // An effective update lands.
     let mut batch = UpdateBatch::new();
@@ -203,7 +204,8 @@ fn stale_readers_are_rejected_not_served() {
     // The stale snapshot is rejected with the structured error...
     let mut rng = StdRng::seed_from_u64(5);
     let err = engine
-        .estimate_batch_at(snapshot, Layer::Upper, 0, &candidates, 2.0, &mut rng)
+        .check_generation(snapshot)
+        .and_then(|()| engine.estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng))
         .unwrap_err();
     assert!(matches!(
         err,
@@ -212,12 +214,23 @@ fn stale_readers_are_rejected_not_served() {
             current: 1
         }
     ));
-    // ...and refreshing the snapshot is the documented recovery.
+    // ...before any draw: refreshing the snapshot and re-issuing on the same
+    // stream serves exactly what a first-try read at the new generation does.
     let fresh = engine.generation();
-    let mut rng = StdRng::seed_from_u64(5);
-    engine
-        .estimate_batch_at(fresh, Layer::Upper, 0, &candidates, 2.0, &mut rng)
+    engine.check_generation(fresh).unwrap();
+    let retried = engine
+        .estimate_batch(Layer::Upper, 0, &candidates, 2.0, &mut rng)
         .unwrap();
+    let first_try = engine
+        .estimate_batch(
+            Layer::Upper,
+            0,
+            &candidates,
+            2.0,
+            &mut StdRng::seed_from_u64(5),
+        )
+        .unwrap();
+    assert_eq!(bits(&retried), bits(&first_try));
 }
 
 #[test]

@@ -17,8 +17,8 @@
 //!
 //! Both forms are generated from the same draw pipeline, consume the RNG
 //! identically, and contain exactly the same bit set.
-//! [`NoisyGraphView`] ([`NoisyGraphViewPacked`]) bundles the lists of both
-//! query vertices so curator-side code can intersect them.
+//! [`NoisyGraphViewPacked`] bundles the rows of both query vertices so
+//! curator-side code can intersect them.
 
 use crate::budget::PrivacyBudget;
 use crate::randomized_response::{PerturbScratch, RandomizedResponse};
@@ -269,87 +269,6 @@ impl NoisyNeighborsPacked {
     }
 }
 
-/// The curator's view after collecting noisy lists from both query vertices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NoisyGraphView {
-    /// Noisy neighbor list of the first query vertex `u`.
-    pub u: NoisyNeighbors,
-    /// Noisy neighbor list of the second query vertex `w`.
-    pub w: NoisyNeighbors,
-}
-
-impl NoisyGraphView {
-    /// Bundles the two noisy lists, checking basic consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two lists disagree on layer or opposite-layer size —
-    /// that would indicate a protocol implementation bug, not bad user input.
-    #[must_use]
-    pub fn new(u: NoisyNeighbors, w: NoisyNeighbors) -> Self {
-        assert_eq!(
-            u.owner_layer, w.owner_layer,
-            "query vertices must share a layer"
-        );
-        assert_eq!(
-            u.opposite_size, w.opposite_size,
-            "noisy lists must cover the same opposite layer"
-        );
-        Self { u, w }
-    }
-
-    /// `N1`: the number of common neighbors of `u` and `w` in the noisy graph.
-    ///
-    /// Adaptive: dense noisy lists (the common case at small ε, where the
-    /// expected degree is `≈ p·n`) are packed into bitmaps and intersected
-    /// word-parallel with popcount; sparse lists fall back to the sorted
-    /// merge. Both strategies count the same set, so the result is identical
-    /// either way.
-    #[must_use]
-    pub fn noisy_intersection_size(&self) -> u64 {
-        let n = self.opposite_size();
-        let words = n.div_ceil(64);
-        // Packing costs two O(degree) passes plus an O(words) popcount loop;
-        // it beats the branchy merge once the lists hold a few ids per word.
-        if self.u.degree().min(self.w.degree()) >= 4 * words {
-            self.u.packed().intersection_size(&self.w.packed())
-        } else {
-            bigraph::common_neighbors::intersection_size(self.u.neighbors(), self.w.neighbors())
-        }
-    }
-
-    /// `N2`: the size of the union of the noisy neighbor sets.
-    #[must_use]
-    pub fn noisy_union_size(&self) -> u64 {
-        self.u.degree() as u64 + self.w.degree() as u64 - self.noisy_intersection_size()
-    }
-
-    /// `(N1, N2)` in one pass: the intersection is computed once and the
-    /// union derived from the degrees. Callers needing both (e.g. the
-    /// one-round estimator's closed form) should use this instead of two
-    /// separate calls, which would redo the intersection — and, on the dense
-    /// packed path, rebuild both bitmaps.
-    #[must_use]
-    pub fn noisy_counts(&self) -> (u64, u64) {
-        let intersection = self.noisy_intersection_size();
-        let union = self.u.degree() as u64 + self.w.degree() as u64 - intersection;
-        (intersection, union)
-    }
-
-    /// Number of vertices on the opposite layer (`n₁` when querying lower
-    /// vertices, `n₂` when querying upper vertices).
-    #[must_use]
-    pub fn opposite_size(&self) -> usize {
-        self.u.opposite_size
-    }
-
-    /// Total bytes both clients sent to the curator for this view.
-    #[must_use]
-    pub fn message_bytes(&self) -> usize {
-        self.u.message_bytes() + self.w.message_bytes()
-    }
-}
-
 /// The packed-native curator view: both query vertices' noisy rows as
 /// bitmaps, intersected word-parallel — no adaptive dispatch needed, the
 /// rows are already packed.
@@ -382,8 +301,7 @@ impl NoisyGraphViewPacked {
     }
 
     /// `N1`: the noisy common-neighbor count — one `AND` + popcount pass
-    /// over the packed words. Identical to
-    /// [`NoisyGraphView::noisy_intersection_size`] on the same rows.
+    /// over the packed words.
     #[must_use]
     pub fn noisy_intersection_size(&self) -> u64 {
         popcount_and(self.u.set().as_words(), self.w.set().as_words())
@@ -415,6 +333,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     fn toy() -> BipartiteGraph {
         BipartiteGraph::from_edges(
@@ -474,44 +393,48 @@ mod tests {
         }
     }
 
+    /// Exact reference for a view's counts: the intersection and union of
+    /// the two rows' id lists.
+    fn list_counts(view: &NoisyGraphViewPacked) -> (u64, u64) {
+        let u: BTreeSet<VertexId> = view.u.materialize().neighbors().iter().copied().collect();
+        let w: BTreeSet<VertexId> = view.w.materialize().neighbors().iter().copied().collect();
+        (
+            u.intersection(&w).count() as u64,
+            u.union(&w).count() as u64,
+        )
+    }
+
+    /// A packed row holding exactly `ids`.
+    fn row(owner: VertexId, layer: Layer, n: usize, ids: &[VertexId]) -> NoisyNeighborsPacked {
+        NoisyNeighborsPacked::from_parts(owner, layer, 1.0, PackedSet::from_sorted(ids, n))
+    }
+
     #[test]
     fn packed_view_counts_match_list_view() {
         let g = toy();
         let eps = PrivacyBudget::new(0.8).unwrap();
         let mut scratch = PerturbScratch::new();
-        let mut rng_a = StdRng::seed_from_u64(4);
-        let mut rng_b = StdRng::seed_from_u64(4);
-        let view = NoisyGraphView::new(
-            NoisyNeighbors::generate(&g, Layer::Upper, 0, eps, &mut rng_a),
-            NoisyNeighbors::generate(&g, Layer::Upper, 1, eps, &mut rng_a),
-        );
-        let packed = NoisyGraphViewPacked::new(
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut generate = |v| {
             NoisyNeighborsPacked::generate_with(
                 &g,
                 Layer::Upper,
-                0,
+                v,
                 eps,
-                &mut rng_b,
+                &mut rng,
                 &mut scratch,
                 None,
-            ),
-            NoisyNeighborsPacked::generate_with(
-                &g,
-                Layer::Upper,
-                1,
-                eps,
-                &mut rng_b,
-                &mut scratch,
-                None,
-            ),
-        );
+            )
+        };
+        let packed = NoisyGraphViewPacked::new(generate(0), generate(1));
+        let (n1, n2) = list_counts(&packed);
+        assert_eq!(packed.noisy_intersection_size(), n1);
+        assert_eq!(packed.noisy_counts(), (n1, n2));
+        assert_eq!(packed.opposite_size(), 50);
         assert_eq!(
-            packed.noisy_intersection_size(),
-            view.noisy_intersection_size()
+            packed.message_bytes(),
+            packed.u.materialize().message_bytes() + packed.w.materialize().message_bytes()
         );
-        assert_eq!(packed.noisy_counts(), view.noisy_counts());
-        assert_eq!(packed.opposite_size(), view.opposite_size());
-        assert_eq!(packed.message_bytes(), view.message_bytes());
     }
 
     #[test]
@@ -534,11 +457,11 @@ mod tests {
 
     #[test]
     fn view_intersection_and_union() {
-        let u = NoisyNeighbors::from_parts(0, Layer::Upper, 10, 1.0, vec![1, 2, 3, 4]);
-        let w = NoisyNeighbors::from_parts(1, Layer::Upper, 10, 1.0, vec![3, 4, 5]);
-        let view = NoisyGraphView::new(u, w);
+        let view = NoisyGraphViewPacked::new(
+            row(0, Layer::Upper, 10, &[1, 2, 3, 4]),
+            row(1, Layer::Upper, 10, &[3, 4, 5]),
+        );
         assert_eq!(view.noisy_intersection_size(), 2);
-        assert_eq!(view.noisy_union_size(), 5);
         assert_eq!(view.noisy_counts(), (2, 5));
         assert_eq!(view.opposite_size(), 10);
         assert_eq!(view.message_bytes(), (4 + 3) * 4);
@@ -547,34 +470,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "same opposite layer")]
     fn view_rejects_mismatched_sizes() {
-        let u = NoisyNeighbors::from_parts(0, Layer::Upper, 10, 1.0, vec![]);
-        let w = NoisyNeighbors::from_parts(1, Layer::Upper, 20, 1.0, vec![]);
-        let _ = NoisyGraphView::new(u, w);
+        let _ =
+            NoisyGraphViewPacked::new(row(0, Layer::Upper, 10, &[]), row(1, Layer::Upper, 20, &[]));
     }
 
     #[test]
     #[should_panic(expected = "share a layer")]
     fn view_rejects_mismatched_layers() {
-        let u = NoisyNeighbors::from_parts(0, Layer::Upper, 10, 1.0, vec![]);
-        let w = NoisyNeighbors::from_parts(1, Layer::Lower, 10, 1.0, vec![]);
-        let _ = NoisyGraphView::new(u, w);
+        let _ =
+            NoisyGraphViewPacked::new(row(0, Layer::Upper, 10, &[]), row(1, Layer::Lower, 10, &[]));
     }
 
     #[test]
     fn dense_lists_take_packed_path_with_identical_result() {
-        // Dense enough that degree >= 4 * ceil(n/64): packed branch taken.
+        // Dense rows over several words: the popcount must match the exact
+        // list counts.
         let n = 256usize;
         let a: Vec<u32> = (0..256).filter(|v| v % 3 != 0).collect();
         let b: Vec<u32> = (0..256).filter(|v| v % 2 == 0).collect();
-        let merge = bigraph::common_neighbors::intersection_size(&a, &b);
-        let u = NoisyNeighbors::from_parts(0, Layer::Upper, n, 1.0, a);
-        let w = NoisyNeighbors::from_parts(1, Layer::Upper, n, 1.0, b);
-        let view = NoisyGraphView::new(u, w);
-        assert!(view.u.degree().min(view.w.degree()) >= 4 * n.div_ceil(64));
-        assert_eq!(view.noisy_intersection_size(), merge);
-        let (n1, n2) = view.noisy_counts();
-        assert_eq!(n1, merge);
-        assert_eq!(n2, view.u.degree() as u64 + view.w.degree() as u64 - merge);
+        let view =
+            NoisyGraphViewPacked::new(row(0, Layer::Upper, n, &a), row(1, Layer::Upper, n, &b));
+        let (n1, n2) = list_counts(&view);
+        assert_eq!(n1, bigraph::common_neighbors::intersection_size(&a, &b));
+        assert_eq!(view.noisy_intersection_size(), n1);
+        assert_eq!(view.noisy_counts(), (n1, n2));
     }
 
     #[test]
