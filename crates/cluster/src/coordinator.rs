@@ -27,15 +27,13 @@
 
 use crate::error::{ClusterError, Result};
 use crate::fault::{FaultInjector, FrameFate, KillTarget};
-use crate::wire::{Message, WireRound1, WireStats};
+use crate::wire::{Message, WireStats};
 use crate::worker::{SHARD_HI_ENV, SHARD_LO_ENV, SOCKET_ENV};
 use bigraph::delta::{GraphDelta, UpdateLog};
 use bigraph::snapshot::GraphSnapshot;
 use bigraph::{BipartiteGraph, Layer, VertexId};
-use cne::batch::{BatchEstimate, BatchReport, BatchRound1, BatchSingleSource};
+use cne::batch::{BatchEstimate, BatchReport, BatchSingleSource};
 use cne::CneError;
-use ldp::budget::PrivacyBudget;
-use ldp::noisy_graph::NoisyNeighborsPacked;
 use std::io;
 use std::ops::Range;
 use std::os::unix::net::UnixStream;
@@ -52,16 +50,14 @@ use std::time::{Duration, Instant};
 /// slow worker's restart over geometrically fewer probes than the old
 /// fixed sleep did.
 ///
-/// [`RetryPolicy::from_env`] (which [`Default`] delegates to) lets every
-/// knob be overridden per process without a code change:
+/// [`RetryPolicy::from_env`] (which [`Default`] delegates to) lets the
+/// connect and I/O timeouts be overridden per process without a code
+/// change:
 ///
 /// | field | env var | default |
 /// |---|---|---|
 /// | `connect_timeout` | `CNE_CLUSTER_CONNECT_TIMEOUT_MS` | 5000 |
-/// | `backoff_base` | `CNE_CLUSTER_BACKOFF_BASE_MS` | 10 |
-/// | `backoff_cap` | `CNE_CLUSTER_BACKOFF_CAP_MS` | 160 |
 /// | `io_timeout` | `CNE_CLUSTER_IO_TIMEOUT_MS` | 10000 |
-/// | `teardown_deadline` | `CNE_CLUSTER_TEARDOWN_MS` | 2000 |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total time budget for (re)connecting to one worker's socket,
@@ -80,8 +76,7 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The compiled-in baseline (the table in the type docs), with no
-    /// environment consulted.
+    /// The compiled-in defaults, with no environment consulted.
     #[must_use]
     pub fn baseline() -> Self {
         Self {
@@ -93,8 +88,8 @@ impl RetryPolicy {
         }
     }
 
-    /// [`baseline`](Self::baseline) with any of the documented
-    /// `CNE_CLUSTER_*_MS` environment overrides applied (unparsable
+    /// [`baseline`](Self::baseline) with either documented
+    /// `CNE_CLUSTER_*_MS` environment override applied (unparsable
     /// values are ignored). This is what [`Default`] returns, so CI legs
     /// and operators tune deadlines without touching call sites.
     #[must_use]
@@ -108,10 +103,8 @@ impl RetryPolicy {
         let base = Self::baseline();
         Self {
             connect_timeout: ms("CNE_CLUSTER_CONNECT_TIMEOUT_MS", base.connect_timeout),
-            backoff_base: ms("CNE_CLUSTER_BACKOFF_BASE_MS", base.backoff_base),
-            backoff_cap: ms("CNE_CLUSTER_BACKOFF_CAP_MS", base.backoff_cap),
             io_timeout: ms("CNE_CLUSTER_IO_TIMEOUT_MS", base.io_timeout),
-            teardown_deadline: ms("CNE_CLUSTER_TEARDOWN_MS", base.teardown_deadline),
+            ..base
         }
     }
 
@@ -748,27 +741,6 @@ fn ensure_connected(config: &ClusterConfig, worker: &mut Worker) -> io::Result<(
     Ok(())
 }
 
-/// Rebuilds the typed round-1 artifact from its wire image.
-fn round1_from_wire(
-    owner: VertexId,
-    layer: Layer,
-    wire: WireRound1,
-) -> std::result::Result<BatchRound1, String> {
-    let eps2 = PrivacyBudget::new(wire.eps2).map_err(|e| format!("bad eps2: {e}"))?;
-    Ok(BatchRound1 {
-        epsilon: wire.epsilon,
-        flip_probability: wire.flip_probability,
-        eps2,
-        base_seed: wire.base_seed,
-        noisy_target: NoisyNeighborsPacked::from_parts(
-            owner,
-            layer,
-            wire.rr_epsilon,
-            bigraph::bitset::PackedSet::from_words(wire.words, wire.universe as usize),
-        ),
-    })
-}
-
 impl Coordinator {
     /// Spawns `n_workers` shard workers for `graph`, sharded along
     /// `shard_layer` into contiguous even ranges, using `launch` to start
@@ -1378,12 +1350,13 @@ impl Coordinator {
             .expect("every candidate slot filled by its owner");
 
         // Replay the accounting locally and emit the concatenated report.
-        let round1 = round1_from_wire(target, layer, wire_round1).map_err(|detail| {
-            ClusterError::Protocol {
-                worker: owner,
-                detail,
-            }
-        })?;
+        let round1 =
+            wire_round1
+                .into_round1(target, layer)
+                .map_err(|detail| ClusterError::Protocol {
+                    worker: owner,
+                    detail,
+                })?;
         algo.assemble_report(layer, target, &round1, estimates)
             .map_err(ClusterError::Query)
     }

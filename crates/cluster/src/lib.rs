@@ -165,7 +165,8 @@
 //! arms itself from the same inherited environment variable). See
 //! [`FaultPlan`] for the full grammar. Timeouts, deadlines, and the
 //! jitter-free exponential backoff they retry under are unified in
-//! [`RetryPolicy`], env-overridable per process.
+//! [`RetryPolicy`]; its connect and I/O deadlines are env-overridable per
+//! process.
 
 #![warn(missing_docs)]
 

@@ -55,7 +55,11 @@
 //! **byte-identically** — the whole correctness story of the cluster
 //! depends on that.
 
-use bigraph::{GraphDelta, Layer};
+use bigraph::bitset::PackedSet;
+use bigraph::{GraphDelta, Layer, VertexId};
+use cne::batch::BatchRound1;
+use ldp::budget::PrivacyBudget;
+use ldp::noisy_graph::NoisyNeighborsPacked;
 use std::io::{self, Read, Write};
 
 /// Frame magic: `"CNE1"` as a little-endian u32.
@@ -139,6 +143,45 @@ pub struct WireRound1 {
     pub universe: u64,
     /// The noisy row's raw 64-bit words.
     pub words: Vec<u64>,
+}
+
+impl WireRound1 {
+    /// Rebuilds the typed round-1 artifact of `owner`'s row on `layer`.
+    /// The row must fit its universe, as every decoded one does.
+    ///
+    /// # Errors
+    ///
+    /// A description of the fault when `eps2` is not a valid budget.
+    pub(crate) fn into_round1(self, owner: VertexId, layer: Layer) -> Result<BatchRound1, String> {
+        let eps2 = PrivacyBudget::new(self.eps2).map_err(|e| format!("bad eps2: {e}"))?;
+        Ok(BatchRound1 {
+            epsilon: self.epsilon,
+            flip_probability: self.flip_probability,
+            eps2,
+            base_seed: self.base_seed,
+            noisy_target: NoisyNeighborsPacked::from_parts(
+                owner,
+                layer,
+                self.rr_epsilon,
+                PackedSet::from_words(self.words, self.universe as usize),
+            ),
+        })
+    }
+}
+
+impl From<&BatchRound1> for WireRound1 {
+    fn from(r1: &BatchRound1) -> Self {
+        let row = r1.noisy_target.set();
+        Self {
+            epsilon: r1.epsilon,
+            flip_probability: r1.flip_probability,
+            eps2: r1.eps2.value(),
+            rr_epsilon: r1.noisy_target.epsilon,
+            base_seed: r1.base_seed,
+            universe: row.universe() as u64,
+            words: row.as_words().to_vec(),
+        }
+    }
 }
 
 /// One protocol message. See the [module docs](self) for the layout.
@@ -666,9 +709,23 @@ fn take_round1(c: &mut Cursor<'_>) -> io::Result<WireRound1> {
     let base_seed = c.u64()?;
     let universe = c.u64()?;
     let n_words = c.u32()? as usize;
+    // The row must fit its universe the way `PackedSet::from_words`
+    // asserts it: exactly ⌈universe/64⌉ words, no bit at or past
+    // `universe`.
+    if n_words as u64 != universe.div_ceil(64) {
+        return Err(bad_data(format!(
+            "round-1 row has {n_words} words for universe {universe}"
+        )));
+    }
     let mut words = Vec::with_capacity(c.capacity_for(n_words, 8));
     for _ in 0..n_words {
         words.push(c.u64()?);
+    }
+    let tail = universe % 64;
+    if tail != 0 && words.last().is_some_and(|&w| w >> tail != 0) {
+        return Err(bad_data(format!(
+            "round-1 row sets bits past universe {universe}"
+        )));
     }
     Ok(WireRound1 {
         epsilon,
@@ -854,7 +911,7 @@ mod tests {
             eps2: 1.0,
             rr_epsilon: 1.0,
             base_seed: 0xDEAD_BEEF,
-            universe: 130,
+            universe: 132,
             words: vec![u64::MAX, 0, 0b1011],
         };
         round_trip(Message::Round1Req {
@@ -952,6 +1009,37 @@ mod tests {
         trailing.push(0);
         reseal(&mut trailing);
         assert!(Message::read_from(&mut trailing.as_slice()).is_err());
+        // A round-1 row that does not fit its universe: one word short in
+        // a `Round1Resp`, a bit past the universe in a `Round2Req`. The
+        // frames are well sealed, so the row check itself must fire.
+        let short_row = WireRound1 {
+            epsilon: 2.0,
+            flip_probability: 0.25,
+            eps2: 1.0,
+            rr_epsilon: 1.0,
+            base_seed: 1,
+            universe: 130,
+            words: vec![u64::MAX, 0],
+        };
+        let stray_bit = WireRound1 {
+            words: vec![0, 0, 1 << 2],
+            ..short_row.clone()
+        };
+        let frames = [
+            Message::Round1Resp(short_row),
+            Message::Round2Req {
+                layer: Layer::Upper,
+                owner: 0,
+                round1: stray_bit,
+                candidates: vec![1],
+            },
+        ];
+        for msg in frames {
+            let mut frame = Vec::new();
+            msg.write_to(&mut frame).unwrap();
+            let err = Message::read_from(&mut frame.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     /// The integrity check must catch a flipped payload byte even when

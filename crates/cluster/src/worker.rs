@@ -27,12 +27,9 @@
 //! coordinator's bounded retry meaningful). `Shutdown` exits the process.
 
 use crate::wire::{err_code, Message, WireRound1, WireStats};
-use bigraph::bitset::PackedSet;
 use bigraph::BipartiteGraph;
-use cne::batch::{batch_round2, BatchRound1, BatchSingleSource};
+use cne::batch::{batch_round2, BatchSingleSource};
 use cne::serving::{ServingConfig, ServingEngine};
-use ldp::budget::PrivacyBudget;
-use ldp::noisy_graph::NoisyNeighborsPacked;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
@@ -322,15 +319,7 @@ fn handle(
                 epsilon,
                 &mut rng,
             ) {
-                Ok(r1) => Message::Round1Resp(WireRound1 {
-                    epsilon: r1.epsilon,
-                    flip_probability: r1.flip_probability,
-                    eps2: r1.eps2.value(),
-                    rr_epsilon: r1.noisy_target.epsilon,
-                    base_seed: r1.base_seed,
-                    universe: r1.noisy_target.set().universe() as u64,
-                    words: r1.noisy_target.set().as_words().to_vec(),
-                }),
+                Ok(r1) => Message::Round1Resp(WireRound1::from(&r1)),
                 Err(e) => err(err_code::QUERY, e.to_string()),
             }
         }
@@ -343,21 +332,9 @@ fn handle(
             let Some(engine) = serving.as_ref() else {
                 return err(err_code::NOT_BOOTSTRAPPED, "query before bootstrap");
             };
-            let eps2 = match PrivacyBudget::new(round1.eps2) {
-                Ok(b) => b,
-                Err(e) => return err(err_code::PROTOCOL, format!("bad eps2: {e}")),
-            };
-            let rebuilt = BatchRound1 {
-                epsilon: round1.epsilon,
-                flip_probability: round1.flip_probability,
-                eps2,
-                base_seed: round1.base_seed,
-                noisy_target: NoisyNeighborsPacked::from_parts(
-                    owner,
-                    layer,
-                    round1.rr_epsilon,
-                    PackedSet::from_words(round1.words, round1.universe as usize),
-                ),
+            let rebuilt = match round1.into_round1(owner, layer) {
+                Ok(r1) => r1,
+                Err(detail) => return err(err_code::PROTOCOL, detail),
             };
             let snap = engine.snapshot();
             match batch_round2(snap.engine().env(), layer, &candidates, &rebuilt) {

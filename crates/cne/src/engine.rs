@@ -146,8 +146,9 @@
 //!   blocks queries for a full CSR merge pass.
 //! * **Serving tier** — [`crate::serving::ServingEngine`] removes that
 //!   stall with epoch-pinned double-buffering. Readers pin a snapshot
-//!   (`snapshot()` — a slot CAS, no locks, no allocation), query it like
-//!   any engine, and retire it by dropping; a dedicated writer thread
+//!   (`snapshot()` — an uncontended read guard on the live buffer, no
+//!   allocation), query it like any engine, and retire it by dropping; a
+//!   dedicated writer thread
 //!   drains the producer-sharded [`bigraph::UpdateLog`] in bounded
 //!   batches, splices the *offline* buffer (coalescing everything pending
 //!   into one merge pass), pre-warms the touched bitmaps, and publishes by

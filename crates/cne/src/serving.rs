@@ -17,18 +17,18 @@
 //!
 //! # Serving lifecycle
 //!
-//! The lifecycle of every query is *pin → query → retire*:
+//! Each buffer sits behind its own `RwLock`, and that lock is the whole
+//! reclamation protocol. The lifecycle of every query is
+//! *pin → query → retire*:
 //!
-//! 1. **Pin.** [`ServingEngine::snapshot`] reads the current epoch and
-//!    claims a pin slot — one CAS plus two epoch loads, no locks and no
-//!    allocation. The epoch's parity names the live buffer; the pin
-//!    announces "a reader is inside epoch `e`" to the writer. The
-//!    [`EngineSnapshot`] guard also holds a `RwLock` read guard on the live
-//!    buffer, but by protocol that acquisition never contends: the writer
-//!    only write-locks a buffer once no reader is pinned to its epoch, so
-//!    the guard is a safety net (a protocol violation degrades to a writer
-//!    stall, never to a torn read), not a reader-side lock — acquiring it
-//!    is a single uncontended atomic.
+//! 1. **Pin.** [`ServingEngine::snapshot`] loads the epoch, whose parity
+//!    names the live buffer, takes a `try_read` guard on that buffer and
+//!    loads the epoch again. It keeps the guard only if the parity is
+//!    unchanged — otherwise the guard may cover a buffer the writer has
+//!    re-spliced but not yet published — and retries on the new epoch.
+//!    `try_read` never blocks, and the writer only ever write-locks the
+//!    *offline* buffer, so a pin costs two epoch loads and one read-lock
+//!    atomic the writer never contends, with no allocation.
 //! 2. **Query.** The guard derefs to a plain [`EstimationEngine`]; run
 //!    [`estimate`](EstimationEngine::estimate),
 //!    [`estimate_batch`](EstimationEngine::estimate_batch), or
@@ -36,11 +36,9 @@
 //!    on it. The buffer is immutable while pinned, so results are
 //!    byte-identical to a cold engine built at the snapshot's epoch — the
 //!    swap-correctness suite (`tests/serving_swap.rs`) pins exactly that.
-//! 3. **Retire.** Dropping the snapshot frees the pin slot. The *old*
-//!    buffer is recycled only once the last reader pinned to its epoch
-//!    drops — epoch-based reclamation: the writer's next cycle spins until
-//!    every pin slot is free or pinned at the current epoch before it
-//!    write-locks the offline buffer.
+//! 3. **Retire.** Dropping the snapshot releases its read guard. The
+//!    writer's next cycle takes the write lock on the retiring buffer,
+//!    which sleeps until the last reader of that buffer is gone.
 //!
 //! # Writer cadence
 //!
@@ -56,12 +54,12 @@
 //!
 //! # Pre-warm policy
 //!
-//! A splice invalidates the touched vertices' cached bitmaps. With
-//! [`ServingConfig::prewarm`] (the default) the writer rebuilds exactly
-//! those bitmaps ([`EstimationEngine::warm_touched`]) *before* publishing,
-//! so the first query against a fresh snapshot is as warm as the last one
-//! against the old snapshot. Sparse vertices keep falling back to scratch
-//! packing, same as [`AdjacencyStore::warm`](crate::AdjacencyStore::warm).
+//! A splice invalidates the touched vertices' cached bitmaps. The writer
+//! rebuilds exactly those bitmaps ([`EstimationEngine::warm_touched`])
+//! *before* publishing, so the first query against a fresh snapshot is as
+//! warm as the last one against the old snapshot. Sparse vertices keep
+//! falling back to scratch packing, same as
+//! [`AdjacencyStore::warm`](crate::AdjacencyStore::warm).
 //!
 //! # Persistence & fast restart
 //!
@@ -73,11 +71,10 @@
 //!   buffer is immutable) and writes a versioned binary
 //!   [`bigraph::snapshot`] file: the CSR arrays plus the packed bitmaps
 //!   of every dense vertex, stamped with the graph epoch **and the exact
-//!   log sequence number the pinned buffer covers**. That sequence is
-//!   tracked per buffer (`buffer_seq`) and stored *before* the epoch
-//!   bump that publishes the buffer, so the stamp can never drift from
-//!   the state being captured — exactness matters because `AddVertex`
-//!   replay is not idempotent.
+//!   log sequence number the pinned buffer covers**. That sequence lives
+//!   under the buffer's lock next to its engine, so the stamp can never
+//!   drift from the state being captured — exactness matters because
+//!   `AddVertex` replay is not idempotent.
 //! * [`ServingEngine::bootstrap_from_snapshot`] is the inverse: both
 //!   buffers adopt the snapshot ([`EstimationEngine::from_snapshot`] —
 //!   packed sections go straight into the adjacency caches, no re-pack),
@@ -149,13 +146,10 @@ use bigraph::delta::{GraphDelta, UpdateBatch, UpdateLog};
 use bigraph::{BipartiteGraph, Layer, VertexId};
 use rand::RngCore;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::thread;
 use std::time::Duration;
-
-/// Pin-slot sentinel: no reader is pinned through this slot.
-const FREE: u64 = u64::MAX;
 
 /// Log2 lag-histogram size: bucket 0 counts lag 0, bucket `k ≥ 1` counts
 /// lags in `[2^(k-1), 2^k)`. 40 buckets cover every lag below 2^39 deltas;
@@ -206,15 +200,9 @@ pub struct ServingConfig {
     /// How long the writer sleeps when the log is empty. Ingest-to-publish
     /// latency is bounded by roughly this plus one splice.
     pub poll_interval: Duration,
-    /// Rebuild the touched vertices' bitmaps before publishing a buffer
-    /// (see the module-level pre-warm policy).
-    pub prewarm: bool,
     /// Warm this layer's dense bitmaps in **both** buffers at
     /// construction, before the writer starts.
     pub warm_layer: Option<Layer>,
-    /// Number of concurrent pinned snapshots supported without spinning.
-    /// A reader that finds every slot claimed spins until one frees.
-    pub pin_slots: usize,
 }
 
 impl Default for ServingConfig {
@@ -223,9 +211,7 @@ impl Default for ServingConfig {
             cache_budget: None,
             max_deltas_per_cycle: 4096,
             poll_interval: Duration::from_micros(500),
-            prewarm: true,
             warm_layer: None,
-            pin_slots: 64,
         }
     }
 }
@@ -258,33 +244,29 @@ pub struct ServingStats {
     pub lag_p95: u64,
 }
 
+/// One engine buffer and the highest log sequence number it covers. The
+/// stamp sits under the buffer's lock, so a reader holding the buffer
+/// reads the stamp of exactly the state it queries.
+struct Buffer {
+    engine: EstimationEngine<'static>,
+    seq: u64,
+}
+
 /// State shared between the serving handle, its snapshots, and the writer
 /// thread.
 struct Shared {
     /// The two engine buffers; the current epoch's parity selects the live
     /// one (`buffers[epoch & 1]`), the writer splices into the other.
-    buffers: [RwLock<EstimationEngine<'static>>; 2],
+    buffers: [RwLock<Buffer>; 2],
     /// Published epoch. Bumped (with the write guard already released) to
     /// atomically swap which buffer serves.
     epoch: AtomicU64,
-    /// Reader pin slots: `FREE`, or the epoch a reader is snapshotted at.
-    pins: Box<[AtomicU64]>,
-    /// Rotating hint so concurrent readers start their claim scan at
-    /// different slots.
-    claim_cursor: AtomicUsize,
     /// The ingestion log producers append to.
     log: UpdateLog,
     /// Tells the writer thread to drain the log and exit.
     shutdown: AtomicBool,
     /// Highest log sequence number covered by the live buffer.
     published_seq: AtomicU64,
-    /// Highest log sequence number covered by each buffer, stored
-    /// **before** the epoch bump that publishes it. A reader pinned to an
-    /// epoch can read its buffer's entry race-free: the writer cannot
-    /// republish (and so cannot restamp) that buffer until the pin drops.
-    /// This is the exact sequence [`ServingEngine::write_snapshot`] stamps
-    /// into snapshot files.
-    buffer_seq: [AtomicU64; 2],
     /// Deltas dropped with their rejected batch.
     rejected: AtomicU64,
     /// Per-snapshot ingest-lag histogram in log2 buckets (`lag_bucket`).
@@ -294,54 +276,17 @@ struct Shared {
     /// Writer tuning, copied out of the construction config.
     max_deltas_per_cycle: usize,
     poll_interval: Duration,
-    prewarm: bool,
 }
 
 impl Shared {
-    /// Claims a pin slot by CAS, spinning if every slot is taken.
-    fn claim_slot(&self, epoch: u64) -> usize {
-        let n = self.pins.len();
-        let start = self.claim_cursor.fetch_add(1, Ordering::Relaxed);
-        loop {
-            for i in 0..n {
-                let at = (start + i) % n;
-                if self.pins[at]
-                    .compare_exchange(FREE, epoch, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return at;
-                }
-            }
-            thread::yield_now();
-        }
-    }
-
-    /// Blocks until every pin slot is free or pinned at `epoch_now` (or
-    /// later). Once true, no reader can still be inside a buffer older
-    /// than `epoch_now`, and no *new* reader can pin an older epoch (the
-    /// announce/re-check handshake in [`ServingEngine::snapshot`] forbids
-    /// it), so the offline buffer is exclusively the writer's.
-    fn wait_for_pins(&self, epoch_now: u64) {
-        let mut spins = 0u32;
-        loop {
-            let clear = self.pins.iter().all(|slot| {
-                let pinned = slot.load(Ordering::SeqCst);
-                pinned == FREE || pinned >= epoch_now
-            });
-            if clear {
-                return;
-            }
-            spins += 1;
-            if spins < 64 {
-                thread::yield_now();
-            } else {
-                // A reader is mid-query on the retiring buffer. Yielding
-                // in a tight loop on a loaded core degenerates into a
-                // context-switch storm that starves that very reader;
-                // after a brief spin, cede the whole timeslice.
-                thread::sleep(Duration::from_micros(50));
-            }
-        }
+    /// Write-locks the offline buffer, sleeping until the last reader of
+    /// the epoch it served has dropped its snapshot. Only the writer
+    /// thread bumps the epoch, so the buffer stays offline while locked.
+    fn lock_offline(&self) -> RwLockWriteGuard<'_, Buffer> {
+        let offline = ((self.epoch.load(Ordering::SeqCst) + 1) & 1) as usize;
+        self.buffers[offline]
+            .write()
+            .expect("serving buffer poisoned")
     }
 }
 
@@ -349,13 +294,9 @@ impl Shared {
 /// batch into the offline buffer, pre-warm what the splices touched, and —
 /// if anything was drained — publish by bumping the epoch.
 fn apply_cycle(shared: &Shared, backlog: &mut Vec<UpdateBatch>, fresh: Option<UpdateBatch>) {
-    let epoch_now = shared.epoch.load(Ordering::SeqCst);
-    shared.wait_for_pins(epoch_now);
-    let offline = ((epoch_now + 1) & 1) as usize;
     {
-        let mut engine = shared.buffers[offline]
-            .write()
-            .expect("serving buffer poisoned");
+        let mut buffer = shared.lock_offline();
+        let engine = &mut buffer.engine;
         let mut receipts = Vec::new();
         // Coalesce the backlog replay and the fresh splice into ONE CSR
         // merge pass: concatenation preserves delta order, so the net
@@ -372,9 +313,7 @@ fn apply_cycle(shared: &Shared, backlog: &mut Vec<UpdateBatch>, fresh: Option<Up
             .collect();
         match engine.apply_updates(&combined) {
             Ok(applied) => {
-                if shared.prewarm {
-                    receipts.push(applied);
-                }
+                receipts.push(applied);
                 backlog.clear();
                 if let Some(batch) = fresh {
                     backlog.push(batch);
@@ -385,16 +324,12 @@ fn apply_cycle(shared: &Shared, backlog: &mut Vec<UpdateBatch>, fresh: Option<Up
                     let applied = engine
                         .apply_updates(&batch)
                         .expect("backlog batch must re-apply");
-                    if shared.prewarm {
-                        receipts.push(applied);
-                    }
+                    receipts.push(applied);
                 }
                 if let Some(batch) = fresh {
                     match engine.apply_updates(&batch) {
                         Ok(applied) => {
-                            if shared.prewarm {
-                                receipts.push(applied);
-                            }
+                            receipts.push(applied);
                             backlog.push(batch);
                         }
                         Err(_) => {
@@ -413,17 +348,12 @@ fn apply_cycle(shared: &Shared, backlog: &mut Vec<UpdateBatch>, fresh: Option<Up
         for applied in &receipts {
             engine.warm_touched(applied);
         }
+        buffer.seq = shared.log.drained();
     }
-    // Publish after the write guard is gone. Stamp the buffer's covered
-    // sequence FIRST: once the epoch bump makes this buffer live, a reader
-    // may pin it and read `buffer_seq` for a snapshot file, and the stamp
-    // must already be in place (the writer cannot restamp until that pin
-    // drops — its next cycle waits on pins before touching the buffer).
-    shared.buffer_seq[offline].store(shared.log.drained(), Ordering::SeqCst);
-    // Bump the epoch (readers now resolve to the freshly spliced buffer),
-    // then advance the published sequence number so `flush` observes
-    // epoch-before-seq.
-    shared.epoch.store(epoch_now + 1, Ordering::SeqCst);
+    // Publish after the write guard is gone: bump the epoch (readers now
+    // resolve to the freshly spliced buffer), then advance the published
+    // sequence number so `flush` observes epoch-before-seq.
+    shared.epoch.fetch_add(1, Ordering::SeqCst);
     shared
         .published_seq
         .store(shared.log.drained(), Ordering::SeqCst);
@@ -442,20 +372,15 @@ fn writer_loop(shared: &Shared) {
         if !backlog.is_empty() {
             // Idle: catch the offline buffer up without publishing, so the
             // next cycle splices one batch, not two.
-            let epoch_now = shared.epoch.load(Ordering::SeqCst);
-            shared.wait_for_pins(epoch_now);
-            let offline = ((epoch_now + 1) & 1) as usize;
-            let mut engine = shared.buffers[offline]
-                .write()
-                .expect("serving buffer poisoned");
+            let mut buffer = shared.lock_offline();
             for batch in backlog.drain(..) {
-                let applied = engine
+                let applied = buffer
+                    .engine
                     .apply_updates(&batch)
                     .expect("backlog batch must re-apply");
-                if shared.prewarm {
-                    engine.warm_touched(&applied);
-                }
+                buffer.engine.warm_touched(&applied);
             }
+            buffer.seq = shared.log.drained();
             continue;
         }
         if shared.shutdown.load(Ordering::Acquire) {
@@ -469,16 +394,14 @@ fn writer_loop(shared: &Shared) {
 ///
 /// Obtained from [`ServingEngine::snapshot`]; derefs to
 /// [`EstimationEngine`], so every engine query API works on it unchanged.
-/// While any snapshot of an epoch is alive, the writer never mutates that
-/// epoch's buffer — dropping the snapshot is what retires it. Snapshots
-/// are cheap (no allocation, no lock contention) but **hold back buffer
-/// recycling**: a long-lived snapshot stalls the writer one full cycle
-/// behind, so pin per query (or per small batch), not per session.
+/// It holds a read guard on its buffer, so the writer cannot mutate that
+/// buffer while any snapshot of it is alive — dropping the snapshot is
+/// what retires it. Snapshots are cheap (no allocation, and the writer
+/// never locks the live buffer) but **hold back buffer recycling**: a
+/// long-lived snapshot stalls the writer one full cycle behind, so pin
+/// per query (or per small batch), not per session.
 pub struct EngineSnapshot<'a> {
-    /// Read guard on the live buffer; `None` only transiently in `drop`.
-    guard: Option<RwLockReadGuard<'a, EstimationEngine<'static>>>,
-    shared: &'a Shared,
-    slot: usize,
+    guard: RwLockReadGuard<'a, Buffer>,
     epoch: u64,
 }
 
@@ -498,7 +421,7 @@ impl EngineSnapshot<'_> {
     /// The pinned engine.
     #[must_use]
     pub fn engine(&self) -> &EstimationEngine<'static> {
-        self.guard.as_ref().expect("snapshot guard present").deref()
+        &self.guard.engine
     }
 
     /// The pinned graph.
@@ -513,16 +436,6 @@ impl Deref for EngineSnapshot<'_> {
 
     fn deref(&self) -> &Self::Target {
         self.engine()
-    }
-}
-
-impl Drop for EngineSnapshot<'_> {
-    fn drop(&mut self) {
-        // Release the read guard before the pin: once the slot reads FREE
-        // the writer may write-lock this buffer, and the protocol promises
-        // it will never find a reader still inside.
-        self.guard = None;
-        self.shared.pins[self.slot].store(FREE, Ordering::SeqCst);
     }
 }
 
@@ -569,8 +482,7 @@ impl ServingEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `config.pin_slots` is zero or the writer thread cannot be
-    /// spawned.
+    /// Panics if the writer thread cannot be spawned.
     #[must_use]
     pub fn with_config(graph: BipartiteGraph, config: ServingConfig) -> Self {
         let build = |g: BipartiteGraph| match config.cache_budget {
@@ -603,8 +515,7 @@ impl ServingEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `config.pin_slots` is zero or the writer thread cannot
-    /// be spawned.
+    /// Panics if the writer thread cannot be spawned.
     #[must_use]
     pub fn bootstrap_from_snapshot(
         snapshot: &bigraph::snapshot::GraphSnapshot,
@@ -625,24 +536,18 @@ impl ServingEngine {
         b: EstimationEngine<'static>,
         config: ServingConfig,
     ) -> Self {
-        assert!(config.pin_slots > 0, "pin_slots must be at least 1");
+        let buffer = |engine| RwLock::new(Buffer { engine, seq: 0 });
         let shared = Arc::new(Shared {
-            buffers: [RwLock::new(a), RwLock::new(b)],
+            buffers: [buffer(a), buffer(b)],
             epoch: AtomicU64::new(0),
-            pins: (0..config.pin_slots)
-                .map(|_| AtomicU64::new(FREE))
-                .collect(),
-            claim_cursor: AtomicUsize::new(0),
             log: UpdateLog::new(),
             shutdown: AtomicBool::new(false),
             published_seq: AtomicU64::new(0),
-            buffer_seq: [AtomicU64::new(0), AtomicU64::new(0)],
             rejected: AtomicU64::new(0),
             lag_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             snapshots: AtomicU64::new(0),
             max_deltas_per_cycle: config.max_deltas_per_cycle.max(1),
             poll_interval: config.poll_interval,
-            prewarm: config.prewarm,
         });
         let writer_shared = Arc::clone(&shared);
         let writer = thread::Builder::new()
@@ -679,44 +584,45 @@ impl ServingEngine {
 
     /// Pins the current epoch and returns a queryable snapshot guard.
     ///
-    /// Lock-free on the reader side: one slot CAS, an epoch announce and
-    /// re-check, and an uncontended-by-protocol `try_read`. Never blocks
-    /// on a splice — while the writer splices the offline buffer, this
-    /// keeps resolving to the live one.
+    /// Two epoch loads around one `try_read` on the live buffer, retried
+    /// only if a publish lands in between. Never blocks on a splice: the
+    /// writer only write-locks the offline buffer, so while it splices,
+    /// this keeps resolving to the live one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pinned buffer is poisoned (the writer thread died
+    /// mid-splice).
     #[must_use]
     pub fn snapshot(&self) -> EngineSnapshot<'_> {
         let shared: &Shared = &self.shared;
-        let mut epoch = shared.epoch.load(Ordering::SeqCst);
-        let slot = shared.claim_slot(epoch);
         loop {
-            // Announce the epoch we intend to read, then re-check it. The
-            // writer publishes a new epoch *before* scanning pins (both
-            // SeqCst), so if the epoch is unchanged after our announce the
-            // writer's next scan is guaranteed to see this pin and wait —
-            // buffers[epoch & 1] cannot be write-locked underneath us.
-            shared.pins[slot].store(epoch, Ordering::SeqCst);
-            if shared.epoch.load(Ordering::SeqCst) == epoch {
-                if let Ok(guard) = shared.buffers[(epoch & 1) as usize].try_read() {
-                    // Record the lag this reader observed at pin time; the
-                    // histogram feeds the p50/p95 fields of `stats`.
-                    let lag = shared
-                        .log
-                        .appended()
-                        .saturating_sub(shared.published_seq.load(Ordering::Relaxed));
-                    shared.lag_hist[lag_bucket(lag)].fetch_add(1, Ordering::Relaxed);
-                    shared.snapshots.fetch_add(1, Ordering::Relaxed);
-                    return EngineSnapshot {
-                        guard: Some(guard),
-                        shared,
-                        slot,
-                        epoch,
-                    };
+            let seen = shared.epoch.load(Ordering::SeqCst);
+            match shared.buffers[(seen & 1) as usize].try_read() {
+                Ok(guard) => {
+                    // A flipped parity means the writer may have re-spliced
+                    // this buffer and not yet published it. An unchanged
+                    // one means the guard holds exactly the state published
+                    // at `epoch`, which the writer cannot touch again until
+                    // the guard drops.
+                    let epoch = shared.epoch.load(Ordering::SeqCst);
+                    if (epoch ^ seen) & 1 == 0 {
+                        // Record the lag this reader observed at pin time;
+                        // the histogram feeds the p50/p95 fields of `stats`.
+                        let lag = shared
+                            .log
+                            .appended()
+                            .saturating_sub(shared.published_seq.load(Ordering::Relaxed));
+                        shared.lag_hist[lag_bucket(lag)].fetch_add(1, Ordering::Relaxed);
+                        shared.snapshots.fetch_add(1, Ordering::Relaxed);
+                        return EngineSnapshot { guard, epoch };
+                    }
                 }
+                Err(TryLockError::WouldBlock) => {}
+                Err(TryLockError::Poisoned(_)) => panic!("serving buffer poisoned"),
             }
-            // The epoch moved mid-pin (or the safety-net guard was briefly
-            // held): chase the new epoch and re-announce.
+            // A publish landed mid-pin: retry on the new epoch.
             thread::yield_now();
-            epoch = shared.epoch.load(Ordering::SeqCst);
         }
     }
 
@@ -819,8 +725,8 @@ impl ServingEngine {
     /// Writes a versioned binary snapshot of the live buffer to `path`,
     /// returning the log sequence number the file covers (its stamp).
     ///
-    /// The buffer is pinned for the duration — the same lock-free reader
-    /// protocol as a query, so this is a maintain()-quiet point: the
+    /// The buffer is pinned for the duration — the same reader path as a
+    /// query, so this is a maintain()-quiet point: the
     /// writer cannot splice or restamp the pinned buffer, and the
     /// captured CSR, packed bitmaps, epoch, and sequence stamp are
     /// mutually consistent by construction. Ingestion continues
@@ -857,11 +763,7 @@ impl ServingEngine {
     #[must_use]
     pub fn capture_snapshot(&self) -> bigraph::snapshot::GraphSnapshot {
         let snap = self.snapshot();
-        // Race-free while pinned: the writer stamps a buffer's sequence
-        // before publishing it and cannot republish this buffer until the
-        // pin drops (its cycle waits on pins first).
-        let seq = self.shared.buffer_seq[(snap.epoch() & 1) as usize].load(Ordering::SeqCst);
-        bigraph::snapshot::GraphSnapshot::capture(snap.graph(), seq)
+        bigraph::snapshot::GraphSnapshot::capture(snap.graph(), snap.guard.seq)
     }
 
     /// Drains the log, stops the writer, and returns the final live
@@ -878,7 +780,7 @@ impl ServingEngine {
         let epoch = shared.epoch.into_inner();
         let [a, b] = shared.buffers;
         let live = if epoch & 1 == 0 { a } else { b };
-        live.into_inner().expect("serving buffer poisoned")
+        live.into_inner().expect("serving buffer poisoned").engine
     }
 
     /// Signals shutdown and joins the writer (drains the log first).

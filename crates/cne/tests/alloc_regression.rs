@@ -8,6 +8,12 @@
 //! that down with a counting global allocator: the total allocation count
 //! of a warm batch call must not depend on the number of candidates.
 //!
+//! The allocator counts per thread, and the test reads only the calling
+//! thread's count. With `RAYON_NUM_THREADS=1` every candidate runs on the
+//! calling thread, so the measured work is counted in full, while another
+//! thread (the serving tier's writer starting up, say) cannot shift a
+//! measurement window by an allocation of its own.
+//!
 //! Run in release mode in CI (`cargo test --release -p cne --test
 //! alloc_regression`) so the count reflects the optimized hot path.
 
@@ -17,15 +23,23 @@ use cne::EstimationEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so touching it from inside the
+    // allocator never allocates and never fails during thread teardown.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -34,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,10 +56,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations the calling thread makes while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+    (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
 /// 120 upper vertices over 4 096 items (64 packed words): every candidate
@@ -65,8 +80,8 @@ fn dense_screening_graph() -> BipartiteGraph {
     BipartiteGraph::from_edges(n_upper as usize, N_ITEMS as usize, edges).expect("valid edges")
 }
 
-/// One test function (not several) so no concurrent test thread can
-/// perturb the global allocation counter mid-measurement.
+/// One test function (not several): the test sets `RAYON_NUM_THREADS`
+/// for the whole process, which a concurrent test would race with.
 #[test]
 fn warm_batch_inner_loop_is_allocation_free_per_candidate() {
     // Pin the fan-out to the calling thread: worker threads spawned per
@@ -159,9 +174,9 @@ fn warm_batch_inner_loop_is_allocation_free_per_candidate() {
 
     // --- Serving path: pin a snapshot, query through it (ISSUE 7). ------
     // The epoch-pinned snapshot must add zero allocations on the warm
-    // path: pinning is a slot CAS plus an uncontended read guard, and the
-    // query runs the same engine code as above. A long poll interval
-    // parks the writer thread for the whole measurement.
+    // path: pinning is two epoch loads around an uncontended read guard,
+    // and the query runs the same engine code as above. A long poll
+    // interval parks the writer thread for the whole measurement.
     let serving = cne::serving::ServingEngine::with_config(
         g.clone(),
         cne::serving::ServingConfig {
